@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Any, List, Optional
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LogEntry:
     """One replicated log entry."""
 

@@ -27,6 +27,24 @@ Design notes
   journaled so a power-cycled host can rebuild it from the WAL image
   (:meth:`RaftHost.replay_raft_wal`); volatile leadership state never
   survives.
+* Reorder hold.  The simulated network jitters every message on its own,
+  so single-entry appends pipelined a few ms apart overtake each other on
+  the same link.  A follower keeps a *gap* AppendEntries of its current
+  term (``prev_log_index`` past its tail) in a small hold keyed by
+  ``prev_log_index`` and still rejects it.  When a later append fills the
+  gap, the held appends drain through the same acceptance checks as a
+  fresh one (same term, prev-term match); everything installed is
+  journaled in one record and acknowledged by one success reply.  The
+  hold is cleared on every term change, step-down and crash.
+* Stale rejections.  A rejection whose ``conflict_index`` is at or past
+  the leader's ``next_index`` for that follower says only that an append
+  arrived early: the entries in between were shipped already and are in
+  flight, held, or lost — and a loss is repaired by the next heartbeat,
+  which sends from ``next_index``.  The leader ignores such a rejection
+  instead of resending its whole in-flight window.  Rejections below
+  ``next_index`` (a lagging or restarted follower, or a new leader's
+  optimistic ``next_index``) back off as usual.  Only the leader can tell
+  reorder from lag, so the follower never suppresses a reply.
 """
 
 from __future__ import annotations
@@ -49,6 +67,10 @@ from repro.wal.records import RaftAppendRecord, RaftTermRecord
 FOLLOWER = "follower"
 CANDIDATE = "candidate"
 LEADER = "leader"
+
+#: Most out-of-order appends a follower holds; further gaps are rejected
+#: without being held and are repaired by the leader's heartbeat.
+HOLD_LIMIT = 64
 
 
 @dataclass(frozen=True)
@@ -123,6 +145,9 @@ class RaftMember:
         #: messages are repaired by heartbeats, which always send from
         #: next_index).
         self._sent_up_to: Dict[str, int] = {}
+        #: Follower reorder hold: gap appends of the current term, keyed by
+        #: ``prev_log_index`` (see the module's design notes).
+        self._held: Dict[int, AppendEntries] = {}
         self._votes: Dict[str, Any] = {}
         self._election_timer = None
         self._heartbeat_timer = None
@@ -233,6 +258,7 @@ class RaftMember:
         self.state = FOLLOWER
         self.leader_id = None
         self._votes = {}
+        self._held.clear()
         self._commit_callbacks.clear()
         self._term_start_waiters.clear()
         self._trace_spans.clear()
@@ -303,6 +329,7 @@ class RaftMember:
     def _start_election(self) -> None:
         self.elections_started += 1
         self.current_term += 1
+        self._held.clear()
         self.state = CANDIDATE
         self.voted_for = self.node_id
         self._persist_term()
@@ -343,6 +370,7 @@ class RaftMember:
         was_leader = self.state == LEADER
         self.state = FOLLOWER
         self._votes = {}
+        self._held.clear()
         self._term_start_waiters.clear()
         if was_leader:
             self._commit_callbacks.clear()
@@ -442,6 +470,9 @@ class RaftMember:
         self._reset_election_timer()
 
         if not self.log.matches(msg.prev_log_index, msg.prev_log_term):
+            if (msg.prev_log_index > self.log.last_index and msg.entries
+                    and len(self._held) < HOLD_LIMIT):
+                self._held.setdefault(msg.prev_log_index, msg)
             conflict = min(self.log.last_index + 1, msg.prev_log_index)
             self.host.send(msg.leader_id, AppendEntriesReply(
                 group_id=self.group_id, term=self.current_term,
@@ -450,10 +481,25 @@ class RaftMember:
             return
 
         installed = self.log.splice(msg.prev_log_index, msg.entries)
-        self._persist_entries(installed)
         match = msg.prev_log_index + len(msg.entries)
-        if msg.leader_commit > self.commit_index:
-            self.commit_index = min(msg.leader_commit, self.log.last_index)
+        leader_commit = msg.leader_commit
+        if self._held:
+            # Drain held appends this one made contiguous, each through
+            # the same checks as a freshly delivered append.
+            held = self._held
+            while match in held:
+                nxt = held.pop(match)
+                if nxt.term != self.current_term or not self.log.matches(
+                        nxt.prev_log_index, nxt.prev_log_term):
+                    break
+                installed += self.log.splice(nxt.prev_log_index, nxt.entries)
+                match = nxt.prev_log_index + len(nxt.entries)
+                leader_commit = max(leader_commit, nxt.leader_commit)
+            for key in [k for k in held if k < match]:
+                del held[key]
+        self._persist_entries(installed)
+        if leader_commit > self.commit_index:
+            self.commit_index = min(leader_commit, self.log.last_index)
             self._apply_committed()
         self.host.send(msg.leader_id, AppendEntriesReply(
             group_id=self.group_id, term=self.current_term,
@@ -475,9 +521,13 @@ class RaftMember:
             if self._sent_up_to.get(peer, 0) < self.log.last_index:
                 self._send_append(peer, only_new=True)
         else:
-            backed_off = min(self.next_index.get(peer, 1) - 1,
-                             msg.conflict_index)
-            self.next_index[peer] = max(1, backed_off)
+            next_idx = self.next_index.get(peer, 1)
+            if msg.conflict_index >= next_idx:
+                # Stale: an append overtook its predecessors.  The entries
+                # before it are in flight or held; a loss is repaired by
+                # the next heartbeat.
+                return
+            self.next_index[peer] = max(1, msg.conflict_index)
             self._sent_up_to[peer] = 0
             self._send_append(peer)
 

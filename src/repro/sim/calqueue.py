@@ -10,12 +10,12 @@ can be *physically removed* from its (small, sorted) bucket immediately,
 so cancellation-heavy workloads — protocol timeouts that almost always
 get cancelled — never pay dequeue or compaction cost for dead events.
 
-Buckets store ``(time, seq, event)`` triples rather than bare events:
-``(time, seq)`` is the kernel's strict total order and is unique, so
-every ``insort``/``bisect`` comparison resolves on the first two fields
-as a C-level tuple compare and never calls the Python ``Event.__lt__``
-the heap pays on every sift level.  The scan pops the globally minimal
-event, so the pop sequence is byte-identical to the heap's (see
+Buckets store ``(time, seq, event)`` triples rather than bare events,
+as the kernel's heap does: ``(time, seq)`` is the kernel's strict total
+order and is unique, so every ``insort``/``bisect`` comparison resolves
+on the first two fields as a C-level tuple compare and never reaches
+the event itself.  The scan pops the globally minimal event, so the pop
+sequence is byte-identical to the heap's (see
 ``tests/property/test_scheduler_equivalence.py``).
 
 Correctness of the forward scan relies on ``day`` being monotone in

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import heapq
 import random
-from functools import partial
 from typing import Any, Callable, List, Optional
 
 from repro.sim.calqueue import CalendarQueue
@@ -46,11 +45,11 @@ SCHEDULERS = ("heap", "calendar")
 class Event:
     """A scheduled callback.
 
-    Events are ordered by ``(time, seq)`` so that simultaneous events fire in
-    the order they were scheduled.  Cancelling an event hands it back to the
-    kernel's scheduler: the heap marks it dead and skips it on pop (with
-    lazy compaction), the calendar queue removes it from its bucket
-    immediately.
+    Schedulers order events by ``(time, seq)`` so that simultaneous events
+    fire in the order they were scheduled.  Cancelling an event hands it
+    back to the kernel's scheduler: the heap marks it dead and skips it on
+    pop (with lazy compaction), the calendar queue removes it from its
+    bucket immediately.
 
     ``ctx`` is the event's causal trace context (``None`` when tracing is
     off); ``_owner`` back-references the kernel while the event is queued so
@@ -80,9 +79,6 @@ class Event:
             self._owner = None
             owner._note_cancelled(self)
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         return f"<Event t={self.time:.3f} seq={self.seq} {state}>"
@@ -91,29 +87,31 @@ class Event:
 class HeapScheduler:
     """Binary heap with lazy compaction of cancelled entries.
 
-    Cancelled events stay heaped until popped; when dead entries
-    outnumber live ones the heap is compacted in place (``compactions``
-    counts those passes).  ``push`` is bound to :func:`heapq.heappush`
-    on the (never rebound) heap list, so the hot path pays no Python-
-    level indirection.
+    The heap holds ``(time, seq, event)`` triples, the order the calendar
+    queue's buckets use: ``(time, seq)`` is unique, so every sift
+    comparison resolves as a C-level tuple compare and never reaches the
+    event itself.  Cancelled events stay heaped until popped; when dead
+    entries outnumber live ones the heap is compacted in place
+    (``compactions`` counts those passes).
     """
 
-    __slots__ = ("_heap", "_cancelled", "compactions", "push")
+    __slots__ = ("_heap", "_cancelled", "compactions")
 
     def __init__(self) -> None:
-        self._heap: List[Event] = []
+        self._heap: List[tuple] = []
         self._cancelled = 0
         self.compactions = 0
-        self.push = partial(heapq.heappush, self._heap)
+
+    def push(self, event: Event) -> None:
+        """Queue ``event`` at its ``(time, seq)`` position."""
+        heapq.heappush(self._heap, (event.time, event.seq, event))
 
     def discard(self, event: Event) -> None:
         """Note a cancellation; compact lazily when dead entries
         outnumber live ones."""
         self._cancelled += 1
         if self._cancelled > 8 and self._cancelled * 2 > len(self._heap):
-            # In-place rebuild: the heap list identity must survive
-            # because ``push`` is bound to it.
-            self._heap[:] = [e for e in self._heap if not e.cancelled]
+            self._heap[:] = [e for e in self._heap if not e[2].cancelled]
             heapq.heapify(self._heap)
             self._cancelled = 0
             self.compactions += 1
@@ -123,12 +121,12 @@ class HeapScheduler:
         the heap is empty or that event is after ``limit``."""
         heap = self._heap
         while heap:
-            event = heap[0]
+            time, _, event = heap[0]
             if event.cancelled:
                 heapq.heappop(heap)
                 self._cancelled -= 1
                 continue
-            if limit is not None and event.time > limit:
+            if limit is not None and time > limit:
                 return None
             heapq.heappop(heap)
             return event
@@ -197,7 +195,7 @@ class Kernel:
         return self._sched.compactions
 
     @property
-    def _heap(self) -> List[Event]:
+    def _heap(self) -> List[tuple]:
         # Back-compat observability hook for the heap scheduler's tests.
         return self._sched._heap
 

@@ -27,7 +27,7 @@ from typing import Optional, Tuple
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RaftTermRecord:
     """currentTerm/votedFor at the instant they changed."""
 
@@ -36,7 +36,7 @@ class RaftTermRecord:
     voted_for: Optional[str]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RaftAppendRecord:
     """Log entries installed at their carried indexes.
 
@@ -55,7 +55,7 @@ class RaftAppendRecord:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoordDecisionWal:
     """A 2PC decision, fsynced before the client reply externalizes it."""
 
@@ -70,7 +70,7 @@ class CoordDecisionWal:
     writes: Tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoordFinishWal:
     """All writeback acks arrived; the decision needs no re-drive."""
 
@@ -82,7 +82,7 @@ class CoordFinishWal:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LayeredDecisionWal:
     tid: str
     group_id: str
@@ -94,7 +94,7 @@ class LayeredDecisionWal:
     writes: Tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LayeredFinishWal:
     tid: str
 
@@ -104,7 +104,7 @@ class LayeredFinishWal:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OccPrepareWal:
     """A provisional pending-list entry, fsynced before the vote is cast.
 
@@ -129,7 +129,7 @@ class OccPrepareWal:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TapirPrepareWal:
     """A successful PREPARE validation, fsynced before PREPARE_OK."""
 
@@ -139,7 +139,7 @@ class TapirPrepareWal:
     write_keys: Tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TapirFinalizeWal:
     """A consensus FINALIZE outcome adopted by this replica."""
 
@@ -147,7 +147,7 @@ class TapirFinalizeWal:
     result: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TapirResolveWal:
     """Commit/abort resolution, fsynced before the ack."""
 

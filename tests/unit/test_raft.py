@@ -2,7 +2,11 @@
 
 import pytest
 
+from repro.raft.log import RaftLog
+from repro.raft.messages import AppendEntries, AppendEntriesReply
 from repro.raft.node import FOLLOWER, LEADER, RaftConfig, RaftNoop
+from repro.wal.log import WriteAheadLog
+from repro.wal.records import RaftAppendRecord
 from tests.support import RaftCluster
 
 
@@ -275,3 +279,159 @@ class TestElectionsAndFailover:
         n0_commands = cluster.applied["n0"].commands
         assert "winner" in n0_commands
         assert "orphan" not in n0_commands
+
+
+class _Outbox:
+    """Stands in for a host's ``send``: keeps messages for the test to
+    deliver by hand, in any order."""
+
+    def __init__(self, host):
+        self.sent = []
+        host.send = lambda dst, msg: self.sent.append((dst, msg))
+
+    def take(self, kind=None):
+        msgs = [m for _, m in self.sent if kind is None or
+                isinstance(m, kind)]
+        self.sent.clear()
+        return msgs
+
+
+def _scripted_cluster(wal_on=None):
+    """A bootstrapped 3-member group (n0 leads term 1, its no-op at index
+    1 committed everywhere) whose n0 and n1 sends are captured, so tests
+    deliver appends and replies by hand."""
+    cluster = RaftCluster(n=3)
+    if wal_on is not None:
+        cluster.hosts[wal_on].wal = WriteAheadLog(wal_on)
+    cluster.start()
+    cluster.run(100)
+    return (cluster, cluster.members["n0"], cluster.members["n1"],
+            _Outbox(cluster.hosts["n0"]), _Outbox(cluster.hosts["n1"]))
+
+
+def _appends_to(outbox, peer):
+    return [m for dst, m in outbox.sent if dst == peer and
+            isinstance(m, AppendEntries)]
+
+
+class TestReorderedAppends:
+    def test_reversed_pipelined_appends_drain_from_hold(self):
+        cluster, leader, follower, lout, fout = _scripted_cluster(
+            wal_on="n1")
+        wal = cluster.hosts["n1"].wal
+        journaled_before = len(wal)
+        leader.propose("a")
+        leader.propose("b")
+        first, second = _appends_to(lout, "n1")
+        lout.take()
+        assert (first.prev_log_index, second.prev_log_index) == (1, 2)
+
+        follower.handle(second)  # overtakes its predecessor
+        follower.handle(first)
+        replies = fout.take(AppendEntriesReply)
+        assert [r.success for r in replies] == [False, True]
+        assert replies[1].match_index == 3
+        assert [e.command for e in follower.log.all_entries()[1:]] == \
+            ["a", "b"]
+        new_records = wal.replay()[journaled_before:]
+        journaled = [e.index for r in new_records
+                     if isinstance(r, RaftAppendRecord) for e in r.entries]
+        assert journaled == [2, 3]
+        assert len(new_records) == 1
+
+        for reply in replies:
+            leader.handle(reply)
+        assert lout.take(AppendEntries) == []  # no resend
+        assert leader.match_index["n1"] == 3
+
+    def test_held_append_of_older_term_never_installed(self):
+        cluster, leader, follower, lout, fout = _scripted_cluster()
+        leader.propose("a")
+        leader.propose("b")
+        first, second = _appends_to(lout, "n1")
+        follower.handle(second)  # held, term 1
+        # A term-2 leader that holds "a" (term 1) but not "b" replicates
+        # "a" to n1; the term-1 append of "b" must not ride along.
+        follower.handle(AppendEntries(
+            group_id="g0", term=2, leader_id="n2",
+            prev_log_index=1, prev_log_term=1,
+            entries=[first.entries[0]], leader_commit=1))
+        reply = fout.take(AppendEntriesReply)[-1]
+        assert reply.success and reply.match_index == 2
+        assert follower.log.last_index == 2
+        assert follower._held == {}
+
+    def test_stale_rejection_sends_nothing(self):
+        cluster, leader, follower, lout, fout = _scripted_cluster()
+        leader.propose("a")
+        lout.take()
+        next_idx = leader.next_index["n1"]
+        leader.handle(AppendEntriesReply(
+            group_id="g0", term=1, follower_id="n1", success=False,
+            conflict_index=next_idx))
+        assert lout.take() == []
+        assert leader.next_index["n1"] == next_idx
+        # A rejection below next_index backs off and resends from it.
+        leader.handle(AppendEntriesReply(
+            group_id="g0", term=1, follower_id="n1", success=False,
+            conflict_index=next_idx - 1))
+        (resend,) = lout.take(AppendEntries)
+        assert resend.prev_log_index == next_idx - 2
+
+    def test_dropped_append_repaired_by_heartbeat_then_hold_drains(self):
+        cluster, leader, follower, lout, fout = _scripted_cluster()
+        leader.propose("a")
+        leader.propose("b")
+        __, second = _appends_to(lout, "n1")  # "a" is lost
+        lout.take()
+        follower.handle(second)
+        leader._on_heartbeat()
+        (heartbeat,) = _appends_to(lout, "n1")
+        lout.take()
+        leader.propose("c")
+        (third,) = _appends_to(lout, "n1")
+        follower.handle(third)  # also early: held behind "b"
+        follower.handle(heartbeat)
+        replies = fout.take(AppendEntriesReply)
+        assert [r.success for r in replies] == [False, False, True]
+        assert replies[-1].match_index == 4
+        assert [e.command for e in follower.log.all_entries()[1:]] == \
+            ["a", "b", "c"]
+        assert follower._held == {}
+
+
+class TestLaggingFollowersStillBackOff:
+    def test_follower_that_lost_its_log_converges(self):
+        cluster = RaftCluster(n=3)
+        cluster.start()
+        cluster.run(100)
+        for i in range(5):
+            cluster.leader().propose(f"cmd{i}")
+        cluster.run(200)
+        # Power-cycled without a WAL: n2 comes back with an empty log,
+        # far behind the leader's next_index for it.
+        cluster.hosts["n2"].crash()
+        cluster.members["n2"].log = RaftLog()
+        cluster.hosts["n2"].recover()
+        cluster.run(500)
+        leader = cluster.leader()
+        assert leader.node_id == "n0"
+        assert cluster.members["n2"].log.all_entries() == \
+            leader.log.all_entries()
+
+    def test_new_leader_with_optimistic_next_index_converges(self):
+        cluster = RaftCluster(n=3, seed=5)
+        cluster.start()
+        cluster.run(100)
+        cluster.hosts["n2"].crash()
+        for i in range(4):
+            cluster.leader().propose(f"missed{i}")
+        cluster.run(200)
+        cluster.hosts["n0"].crash()
+        cluster.hosts["n2"].recover()
+        cluster.run(3000)
+        leader = cluster.leader()
+        assert leader is not None and leader.node_id == "n1"
+        assert cluster.members["n2"].log.all_entries() == \
+            leader.log.all_entries()
+        assert cluster.members["n2"].commit_index == leader.commit_index
