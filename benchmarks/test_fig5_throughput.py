@@ -10,12 +10,12 @@ transaction than Basic).
 """
 
 from repro.bench.report import render_throughput_sweep
-from repro.bench.runner import SYSTEM_LABELS
+from repro.systems import get
 
 
 def _series(sweep):
     return {
-        SYSTEM_LABELS[system]: [
+        get(system).label: [
             (r.target_tps, r.stats.committed_tps, r.stats.abort_rate)
             for r in points]
         for system, points in sweep.items()

@@ -11,12 +11,12 @@ links).
 
 from repro.bench.experiments import bandwidth_roles as _roles
 from repro.bench.report import render_bandwidth
-from repro.bench.runner import SYSTEM_LABELS
+from repro.systems import get
 
 
 def test_fig7_bandwidth_breakdown(bandwidth_results, benchmark):
     rows = benchmark.pedantic(
-        lambda: {SYSTEM_LABELS[s]: _roles(r)
+        lambda: {get(s).label: _roles(r)
                  for s, r in bandwidth_results.items()},
         rounds=1, iterations=1)
 

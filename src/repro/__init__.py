@@ -17,9 +17,11 @@ Baseline:
     :class:`repro.tapir.TapirConfig`.
 
 Deployments and experiments:
-    :class:`repro.bench.CarouselCluster`, :class:`repro.bench.TapirCluster`,
-    :class:`repro.bench.DeploymentSpec`, :mod:`repro.bench.experiments`,
-    and the ``python -m repro`` command line.
+    :mod:`repro.systems` (the system registry: ``build(name, spec,
+    profile)``), :class:`repro.bench.CarouselCluster`,
+    :class:`repro.bench.TapirCluster`, :class:`repro.bench.DeploymentSpec`,
+    :mod:`repro.bench.experiments`, and the ``python -m repro`` command
+    line.
 
 Substrates:
     :mod:`repro.sim` (deterministic discrete-event simulator),

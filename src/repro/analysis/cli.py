@@ -178,14 +178,16 @@ def cmd_protolint(argv: List[str]) -> int:
 
 
 def _build_divergence_parser() -> argparse.ArgumentParser:
+    from repro.systems import NAMES, cli_system
+
     parser = argparse.ArgumentParser(
         prog="python -m repro divergence",
         description="Run the same scenario twice under different "
                     "PYTHONHASHSEED values and localize the first "
                     "divergent kernel event.")
-    parser.add_argument("--system",
-                        choices=["basic", "fast", "tapir", "layered"],
-                        default="basic")
+    parser.add_argument("--system", type=cli_system,
+                        default="carousel-basic",
+                        help=f"one of {', '.join(NAMES)}")
     parser.add_argument("--seed", type=int, default=42,
                         help="kernel seed shared by both runs")
     parser.add_argument("--txns", type=int, default=2, metavar="N",

@@ -29,7 +29,7 @@ import sys
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.digest import DigestRecorder, parse_send_fields
 
@@ -89,59 +89,12 @@ def run_child(system: str, seed: int, n_txns: int, out_path: str,
     """
     if plant_set_bug:
         _plant_set_iteration_bug()
+    from repro.trace.harness import run_traced
+
     digest = DigestRecorder()
-    if wide or plant_set_bug:
-        _run_wide_scenario(system, seed, n_txns, digest)
-    else:
-        from repro.trace.harness import run_traced
-        run_traced(system, seed=seed, n_txns=n_txns, digest_sink=digest)
+    run_traced(system, seed=seed, n_txns=n_txns, digest_sink=digest,
+               wide=wide or plant_set_bug)
     digest.write(out_path)
-
-
-def _run_wide_scenario(system: str, seed: int, n_txns: int,
-                       digest: DigestRecorder) -> None:
-    """A transaction touching *every* partition (widest possible fan-out,
-    so ordering bugs in coordinator loops have the most room to show)."""
-    from repro.bench.cluster import CarouselCluster, DeploymentSpec
-    from repro.core.config import BASIC, FAST, CarouselConfig
-    from repro.trace.tracer import Tracer
-    from repro.txn import TransactionSpec
-
-    mode = FAST if system == "fast" else BASIC
-    cluster = CarouselCluster(DeploymentSpec(seed=seed,
-                                             jitter_fraction=0.0),
-                              CarouselConfig(mode=mode))
-    cluster.kernel.digest = digest
-    tracer = Tracer(cluster.kernel)
-    cluster.run(500)  # settle bootstrap
-
-    keys: List[str] = []
-    covered: set = set()  # membership only; iteration never escapes
-    for i in range(5000):
-        key = f"wide{i}"
-        pid = cluster.ring.partition_for(key)
-        if pid not in covered:
-            covered.add(pid)
-            keys.append(key)
-        if len(covered) == len(cluster.partition_ids):
-            break
-    cluster.populate({k: "v0" for k in keys})
-
-    client = cluster.client(cluster.client_dcs()[0])
-    for i in range(n_txns):
-        spec = TransactionSpec(
-            read_keys=tuple(keys), write_keys=tuple(keys),
-            compute_writes=lambda r: {k: f"w{i}" for k in r},
-            txn_type="wide")
-        done: List[Any] = []
-        client.submit(spec, done.append)
-        deadline = cluster.kernel.now + 30_000
-        while not done and cluster.kernel.now < deadline:
-            cluster.run(50)
-        if not done:
-            raise RuntimeError(f"wide transaction {i + 1} stalled")
-    cluster.run(2_000)  # drain writebacks
-    tracer.detach()
 
 
 def _plant_set_iteration_bug() -> None:

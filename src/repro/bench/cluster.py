@@ -10,16 +10,21 @@ per datacenter" property when partitions equal datacenters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.core.client import CarouselClient
 from repro.core.config import CarouselConfig
 from repro.core.server import CarouselServer
+from repro.layered.client import LayeredClient
+from repro.layered.server import LayeredServer
 from repro.runtime.des import DesRuntime
 from repro.sim.topology import Topology, ec2_five_regions
 from repro.store.directory import DirectoryService, PartitionInfo
 from repro.store.partitioning import ConsistentHashRing
+from repro.tapir.client import TapirClient
+from repro.tapir.config import TapirConfig
+from repro.tapir.replica import TapirReplica
 
 
 @dataclass
@@ -59,7 +64,8 @@ class DeploymentSpec:
 
 
 class _BaseCluster:
-    """Common plumbing for Carousel and TAPIR deployments.
+    """Common plumbing for every deployment: runtime, directory, ring,
+    clients, and the replica accessors the oracles read.
 
     ``runtime`` selects the execution backend (:mod:`repro.runtime`).
     ``None`` builds the discrete-event runtime exactly as this module
@@ -67,9 +73,19 @@ class _BaseCluster:
     :class:`~repro.runtime.aio.AioRuntime` builds only the nodes this
     process hosts (the transport's ``claim`` decides placement) against
     real sockets; the runtime's topology must match ``spec.topology``.
+
+    Construction order is fixed — servers, then clients, then
+    :meth:`_start` — because election-timeout RNG draws follow server
+    insertion order.  Subclasses supply ``_build_servers``,
+    ``_make_client(client_id, dc, result_hook)`` and the replica
+    accessors the oracles read: static ``store_of(host, pid)`` (the
+    versioned store) and ``resolved_of(host, pid)`` (``{tid: "commit" |
+    "abort"}``).
     """
 
-    def __init__(self, spec: DeploymentSpec, runtime=None):
+    def __init__(self, spec: Optional[DeploymentSpec], result_hook,
+                 runtime):
+        spec = spec or DeploymentSpec()
         self.spec = spec
         if runtime is None:
             runtime = DesRuntime(seed=spec.seed, topology=spec.topology,
@@ -81,8 +97,13 @@ class _BaseCluster:
         self.directory = DirectoryService()
         self.partition_ids = [f"p{i}" for i in range(spec.n_partitions)]
         self.ring = ConsistentHashRing(self.partition_ids)
+        #: Every server (TAPIR: replica) this process hosts, by node id.
+        self.servers: Dict[str, Any] = {}
         self.clients: List[Any] = []
         self._clients_by_dc: Dict[str, List[Any]] = {}
+        self._build_servers()
+        self._build_clients(result_hook)
+        self._start()
 
     def placement(self, partition_index: int) -> List[str]:
         """Datacenters hosting ``p<partition_index>``; the first is the
@@ -91,6 +112,23 @@ class _BaseCluster:
         return [dcs[(partition_index + j) % len(dcs)]
                 for j in range(self.spec.replication_factor)]
 
+    def _build_clients(self, result_hook) -> None:
+        for dc in self.topology.datacenters:
+            per_dc = []
+            for i in range(self.spec.clients_per_dc):
+                client_id = f"client-{dc}-{i}"
+                if self.network.claim(client_id, "client", dc):
+                    per_dc.append(
+                        self._make_client(client_id, dc, result_hook))
+            self.clients.extend(per_dc)
+            self._clients_by_dc[dc] = per_dc
+
+    def _start(self) -> None:
+        """Start background protocol machinery (none by default)."""
+
+    # ------------------------------------------------------------------
+    # Conveniences
+    # ------------------------------------------------------------------
     def run(self, ms: float) -> None:
         """Advance the simulation by ``ms`` virtual milliseconds."""
         self.kernel.run(until=self.kernel.now + ms)
@@ -98,25 +136,34 @@ class _BaseCluster:
     def client(self, dc: str, index: int = 0):
         return self._clients_by_dc[dc][index]
 
-    def client_dcs(self) -> List[str]:
-        return list(self.topology.datacenters)
+    def leader_of(self, pid: str) -> Any:
+        """The server currently leading partition ``pid``."""
+        return self.servers[self.directory.lookup(pid).leader]
+
+    def replicas_of(self, pid: str) -> List[Any]:
+        """Servers hosting replicas of partition ``pid``, group order."""
+        return [self.servers[r]
+                for r in self.directory.lookup(pid).replicas]
+
+    def stores_of(self, pid: str) -> List[Any]:
+        """The versioned stores of every replica of ``pid``."""
+        return [self.store_of(host, pid) for host in self.replicas_of(pid)]
+
+    def populate(self, items: Dict[str, Any]) -> None:
+        """Load initial data directly into every replica (version 1),
+        bypassing the protocol — the standard benchmark loading shortcut."""
+        for key, value in items.items():
+            pid = self.ring.partition_for(key)
+            for store in self.stores_of(pid):
+                store.write(key, value, 1)
 
 
-class CarouselCluster(_BaseCluster):
-    """A ready-to-run Carousel deployment (servers + clients + directory)."""
+class _RaftCluster(_BaseCluster):
+    """Carousel and the layered baseline: one Raft group per partition
+    over the shared placement, servers named ``<prefix>-<dc>-<slot>``
+    and made by ``_make_server(server_id, dc)``."""
 
-    def __init__(self, spec: Optional[DeploymentSpec] = None,
-                 config: Optional[CarouselConfig] = None,
-                 result_hook=None, runtime=None):
-        super().__init__(spec or DeploymentSpec(), runtime=runtime)
-        self.config = config or CarouselConfig()
-        self.servers: Dict[str, CarouselServer] = {}
-        self._build_servers()
-        self._build_clients(result_hook)
-        self._start()
-
-    def _server_id(self, dc: str, slot: int) -> str:
-        return f"cds-{dc}-{slot}"
+    _SERVER_PREFIX = ""
 
     def _build_servers(self) -> None:
         # One server per partition replica, as in the paper's deployment —
@@ -127,25 +174,20 @@ class CarouselCluster(_BaseCluster):
                   for i, pid in enumerate(self.partition_ids)]
         if self.spec.dedicated_coordinator_groups:
             # One data-less coordinating group led from each datacenter.
-            dcs = self.topology.datacenters
-            for i, dc in enumerate(dcs):
-                placement = [dcs[(i + j) % len(dcs)]
-                             for j in range(self.spec.replication_factor)]
-                groups.append((f"coord-{dc}", placement))
+            groups += [(f"coord-{dc}", self.placement(i))
+                       for i, dc in enumerate(self.topology.datacenters)]
         for pid, placement in groups:
             ids = []
             for dc in placement:
                 if self.spec.consolidate_servers:
-                    server_id = self._server_id(dc, 0)
+                    server_id = f"{self._SERVER_PREFIX}-{dc}-0"
                 else:
-                    server_id = self._server_id(dc, slots[dc])
+                    server_id = f"{self._SERVER_PREFIX}-{dc}-{slots[dc]}"
                     slots[dc] += 1
                 if server_id not in self.servers and \
                         self.network.claim(server_id, "server", dc):
-                    self.servers[server_id] = CarouselServer(
-                        server_id, dc, self.kernel, self.network,
-                        self.directory, self.config,
-                        service_time_ms=self.spec.server_service_time_ms)
+                    self.servers[server_id] = self._make_server(server_id,
+                                                                dc)
                 ids.append(server_id)
             replica_ids[pid] = ids
             self.directory.register(PartitionInfo(
@@ -158,179 +200,113 @@ class CarouselCluster(_BaseCluster):
                         pid, replica_ids[pid],
                         bootstrap_leader=replica_ids[pid][0])
 
-    def _build_clients(self, result_hook) -> None:
-        for dc in self.topology.datacenters:
-            per_dc = []
-            for i in range(self.spec.clients_per_dc):
-                client_id = f"client-{dc}-{i}"
-                if not self.network.claim(client_id, "client", dc):
-                    continue
-                client = CarouselClient(
-                    client_id, dc, self.kernel, self.network,
-                    self.directory, self.ring, self.config,
-                    result_hook=result_hook)
-                per_dc.append(client)
-                self.clients.append(client)
-            self._clients_by_dc[dc] = per_dc
-
     def _start(self) -> None:
         # Ordered: servers insertion order is construction order (per-dc,
         # per-index), so the election-timeout RNG draws are deterministic.
         for server in self.servers.values():
             server.start_raft()
 
-    # ------------------------------------------------------------------
-    # Conveniences
-    # ------------------------------------------------------------------
-    def leader_of(self, pid: str) -> CarouselServer:
-        """The server currently leading partition ``pid``."""
-        return self.servers[self.directory.lookup(pid).leader]
+    @staticmethod
+    def store_of(host: Any, pid: str) -> Any:
+        return host.partitions[pid].store
 
-    def replicas_of(self, pid: str) -> List[CarouselServer]:
-        """Servers hosting replicas of partition ``pid``, group order."""
-        return [self.servers[r]
-                for r in self.directory.lookup(pid).replicas]
-
-    def populate(self, items: Dict[str, Any]) -> None:
-        """Load initial data directly into every replica (version 1),
-        bypassing the protocol — the standard benchmark loading shortcut."""
-        for key, value in items.items():
-            pid = self.ring.partition_for(key)
-            for server in self.replicas_of(pid):
-                server.partitions[pid].store.write(key, value, 1)
-
-    def stores_of(self, pid: str):
-        """The versioned stores of every replica of ``pid``."""
-        return [server.partitions[pid].store
-                for server in self.replicas_of(pid)]
+    @staticmethod
+    def resolved_of(host: Any, pid: str) -> Dict[Any, str]:
+        return dict(host.partitions[pid].resolved)
 
 
-class LayeredCluster(_BaseCluster):
+class CarouselCluster(_RaftCluster):
+    """A ready-to-run Carousel deployment (servers + clients + directory)."""
+
+    _SERVER_PREFIX = "cds"
+
+    def __init__(self, spec: Optional[DeploymentSpec] = None,
+                 config: Optional[CarouselConfig] = None,
+                 result_hook=None, runtime=None):
+        self.config = config or CarouselConfig()
+        super().__init__(spec, result_hook, runtime)
+
+    def _make_server(self, server_id: str, dc: str) -> CarouselServer:
+        return CarouselServer(
+            server_id, dc, self.kernel, self.network, self.directory,
+            self.config, service_time_ms=self.spec.server_service_time_ms)
+
+    def _make_client(self, client_id: str, dc: str,
+                     result_hook) -> CarouselClient:
+        return CarouselClient(
+            client_id, dc, self.kernel, self.network, self.directory,
+            self.ring, self.config, result_hook=result_hook)
+
+
+class LayeredCluster(_RaftCluster):
     """A deployment of the layered (sequential 2PC over consensus)
     baseline over the same placement as Carousel (see
     :mod:`repro.layered`)."""
 
+    _SERVER_PREFIX = "lds"
+
     def __init__(self, spec: Optional[DeploymentSpec] = None,
                  raft_config=None, retry_policy=None, result_hook=None,
                  runtime=None):
-        from repro.layered.client import LayeredClient
-        from repro.layered.server import LayeredServer
-
-        super().__init__(spec or DeploymentSpec(), runtime=runtime)
+        self.raft_config = raft_config
         self.retry_policy = retry_policy
-        self.servers: Dict[str, LayeredServer] = {}
-        slots: Dict[str, int] = {dc: 0 for dc in self.topology.datacenters}
-        replica_ids: Dict[str, List[str]] = {}
-        for i, pid in enumerate(self.partition_ids):
-            ids, dcs = [], []
-            for dc in self.placement(i):
-                server_id = f"lds-{dc}-{slots[dc]}"
-                slots[dc] += 1
-                if server_id not in self.servers and \
-                        self.network.claim(server_id, "server", dc):
-                    self.servers[server_id] = LayeredServer(
-                        server_id, dc, self.kernel, self.network,
-                        self.directory, raft_config=raft_config,
-                        retry_policy=retry_policy,
-                        service_time_ms=self.spec.server_service_time_ms)
-                ids.append(server_id)
-                dcs.append(dc)
-            replica_ids[pid] = ids
-            self.directory.register(PartitionInfo(
-                partition_id=pid, replicas=ids, datacenters=dcs,
-                leader=ids[0]))
-        for pid in self.partition_ids:
-            for server_id in replica_ids[pid]:
-                if server_id in self.servers:
-                    self.servers[server_id].add_partition(
-                        pid, replica_ids[pid],
-                        bootstrap_leader=replica_ids[pid][0])
-        for dc in self.topology.datacenters:
-            per_dc = []
-            for i in range(self.spec.clients_per_dc):
-                client_id = f"client-{dc}-{i}"
-                if not self.network.claim(client_id, "client", dc):
-                    continue
-                client = LayeredClient(
-                    client_id, dc, self.kernel, self.network,
-                    self.directory, self.ring,
-                    retry_policy=retry_policy, result_hook=result_hook)
-                per_dc.append(client)
-                self.clients.append(client)
-            self._clients_by_dc[dc] = per_dc
-        # Ordered: servers insertion order is construction order, so the
-        # election-timeout RNG draws are deterministic.
-        for server in self.servers.values():
-            server.start_raft()
+        super().__init__(spec, result_hook, runtime)
 
-    def leader_of(self, pid: str):
-        """The server currently leading partition ``pid``."""
-        return self.servers[self.directory.lookup(pid).leader]
+    def _make_server(self, server_id: str, dc: str) -> LayeredServer:
+        return LayeredServer(
+            server_id, dc, self.kernel, self.network, self.directory,
+            raft_config=self.raft_config, retry_policy=self.retry_policy,
+            service_time_ms=self.spec.server_service_time_ms)
 
-    def replicas_of(self, pid: str):
-        """Servers hosting replicas of partition ``pid``, group order."""
-        return [self.servers[r]
-                for r in self.directory.lookup(pid).replicas]
-
-    def populate(self, items: Dict[str, Any]) -> None:
-        """Load initial data into every replica (version 1), bypassing the protocol."""
-        for key, value in items.items():
-            pid = self.ring.partition_for(key)
-            for server in self.replicas_of(pid):
-                server.partitions[pid].store.write(key, value, 1)
+    def _make_client(self, client_id: str, dc: str,
+                     result_hook) -> LayeredClient:
+        return LayeredClient(
+            client_id, dc, self.kernel, self.network, self.directory,
+            self.ring, retry_policy=self.retry_policy,
+            result_hook=result_hook)
 
 
 class TapirCluster(_BaseCluster):
-    """A TAPIR deployment over the same placement (built lazily to avoid a
-    circular import; see :mod:`repro.tapir`)."""
+    """A TAPIR deployment over the same placement: replicas named
+    ``tapir-<pid>-<j>``, one partition each, no consensus groups."""
 
     def __init__(self, spec: Optional[DeploymentSpec] = None,
-                 config=None, result_hook=None, runtime=None):
-        from repro.tapir.config import TapirConfig
-        from repro.tapir.replica import TapirReplica
-        from repro.tapir.client import TapirClient
-
-        super().__init__(spec or DeploymentSpec(), runtime=runtime)
+                 config: Optional[TapirConfig] = None, result_hook=None,
+                 runtime=None):
         self.config = config or TapirConfig()
-        self.replicas: Dict[str, TapirReplica] = {}
+        super().__init__(spec, result_hook, runtime)
+
+    @property
+    def replicas(self) -> Dict[str, TapirReplica]:
+        """The hosted replicas by node id (the same dict as ``servers``)."""
+        return self.servers
+
+    def _build_servers(self) -> None:
         for i, pid in enumerate(self.partition_ids):
-            ids, dcs = [], []
-            for j, dc in enumerate(self.placement(i)):
-                replica_id = f"tapir-{pid}-{j}"
-                ids.append(replica_id)
-                dcs.append(dc)
+            dcs = self.placement(i)
+            ids = [f"tapir-{pid}-{j}" for j in range(len(dcs))]
             self.directory.register(PartitionInfo(
                 partition_id=pid, replicas=ids, datacenters=dcs,
                 leader=ids[0]))
             for replica_id, dc in zip(ids, dcs):
                 if not self.network.claim(replica_id, "server", dc):
                     continue
-                self.replicas[replica_id] = TapirReplica(
+                self.servers[replica_id] = TapirReplica(
                     replica_id, dc, self.kernel, self.network,
                     pid, ids, self.config,
                     service_time_ms=self.spec.server_service_time_ms)
-        for dc in self.topology.datacenters:
-            per_dc = []
-            for i in range(self.spec.clients_per_dc):
-                client_id = f"client-{dc}-{i}"
-                if not self.network.claim(client_id, "client", dc):
-                    continue
-                client = TapirClient(
-                    client_id, dc, self.kernel, self.network,
-                    self.directory, self.ring, self.config,
-                    result_hook=result_hook)
-                per_dc.append(client)
-                self.clients.append(client)
-            self._clients_by_dc[dc] = per_dc
 
-    def replicas_of(self, pid: str):
-        """Servers hosting replicas of partition ``pid``, group order."""
-        return [self.replicas[r]
-                for r in self.directory.lookup(pid).replicas]
+    def _make_client(self, client_id: str, dc: str,
+                     result_hook) -> TapirClient:
+        return TapirClient(
+            client_id, dc, self.kernel, self.network, self.directory,
+            self.ring, self.config, result_hook=result_hook)
 
-    def populate(self, items: Dict[str, Any]) -> None:
-        """Load initial data into every replica (version 1), bypassing the protocol."""
-        for key, value in items.items():
-            pid = self.ring.partition_for(key)
-            for replica in self.replicas_of(pid):
-                replica.store.write(key, value, 1)
+    @staticmethod
+    def store_of(host: Any, pid: str) -> Any:
+        return host.store
+
+    @staticmethod
+    def resolved_of(host: Any, pid: str) -> Dict[Any, str]:
+        return {tid: ("commit" if ok else "abort")
+                for tid, ok in host.resolved.items()}

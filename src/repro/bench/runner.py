@@ -1,9 +1,10 @@
 """Standardized experiment runner used by every benchmark.
 
-``run_workload`` builds a deployment for one of the three evaluated systems
-("tapir", "carousel-basic", "carousel-fast"), drives a workload at a target
-throughput, and returns the measured statistics — one call per curve point
-in the paper's figures.
+``run_workload`` builds a deployment for one of the registered systems
+(:mod:`repro.systems`; the figures compare "tapir", "carousel-basic" and
+"carousel-fast"), drives a workload at a target throughput, and returns
+the measured statistics — one call per curve point in the paper's
+figures.
 """
 
 from __future__ import annotations
@@ -11,22 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.bench.cluster import CarouselCluster, DeploymentSpec, TapirCluster
-from repro.core.config import BASIC, FAST, CarouselConfig
+from repro.bench.cluster import DeploymentSpec
 from repro.sim.topology import Topology, ec2_five_regions
-from repro.tapir.config import TapirConfig
+from repro.systems import build, get
 from repro.workloads.driver import WorkloadDriver, WorkloadStats
 from repro.workloads.retwis import RetwisWorkload
 from repro.workloads.ycsbt import YcsbTWorkload
-
-SYSTEMS = ("tapir", "carousel-basic", "carousel-fast")
-
-#: Display names matching the paper's figures.
-SYSTEM_LABELS = {
-    "tapir": "TAPIR",
-    "carousel-basic": "Carousel Basic",
-    "carousel-fast": "Carousel Fast",
-}
 
 
 @dataclass
@@ -44,7 +35,7 @@ class RunRecord:
 
     @property
     def label(self) -> str:
-        return SYSTEM_LABELS[self.system]
+        return get(self.system).label
 
     def to_json(self) -> Dict[str, object]:
         """Canonical JSON form (sorted op counters) for the sweep
@@ -79,7 +70,7 @@ class ExperimentResult:
 
     @property
     def label(self) -> str:
-        return SYSTEM_LABELS[self.system]
+        return get(self.system).label
 
     @property
     def op_counters(self) -> Dict[str, int]:
@@ -104,18 +95,9 @@ class ExperimentResult:
 
 def build_cluster(system: str, spec: DeploymentSpec,
                   tapir_fast_path_timeout_ms: Optional[float] = None):
-    """Construct a deployment for one of the evaluated systems."""
-    if system == "tapir":
-        config = TapirConfig()
-        if tapir_fast_path_timeout_ms is not None:
-            config = TapirConfig(
-                fast_path_timeout_ms=tapir_fast_path_timeout_ms)
-        return TapirCluster(spec, config)
-    if system == "carousel-basic":
-        return CarouselCluster(spec, CarouselConfig(mode=BASIC))
-    if system == "carousel-fast":
-        return CarouselCluster(spec, CarouselConfig(mode=FAST))
-    raise ValueError(f"unknown system {system!r}; expected one of {SYSTEMS}")
+    """Construct a ``paper``-profile deployment of a registered system."""
+    return build(system, spec,
+                 tapir_fast_path_ms=tapir_fast_path_timeout_ms)
 
 
 def build_workload(name: str, n_keys: int, seed: int):

@@ -13,9 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
-from repro.bench.cluster import CarouselCluster, DeploymentSpec
-from repro.core.config import BASIC, FAST, CarouselConfig
+from repro.bench.cluster import DeploymentSpec
+from repro.core.config import BASIC
 from repro.sim.topology import ec2_five_regions
+from repro.systems import build
+from repro.trace.harness import pick_keys
 from repro.txn import TransactionSpec
 
 
@@ -53,12 +55,10 @@ def trace_transaction(mode: str = BASIC, seed: int = 42,
     started from another datacenter just before, reproducing Figure 3(b)'s
     conflicting-prepare scenario.
     """
-    cluster = CarouselCluster(
-        DeploymentSpec(seed=seed, jitter_fraction=0.0),
-        CarouselConfig(mode=mode))
+    cluster = build(mode, DeploymentSpec(seed=seed, jitter_fraction=0.0))
     cluster.run(500)
     if keys is None:
-        keys = _pick_two_partition_keys(cluster, client_dc)
+        keys = pick_keys(cluster, client_dc)
     trace: List[TracedMessage] = []
     nodes = cluster.network.nodes
 
@@ -92,23 +92,6 @@ def trace_transaction(mode: str = BASIC, seed: int = 42,
     if not results:
         raise RuntimeError("traced transaction did not complete")
     return trace
-
-
-def _pick_two_partition_keys(cluster, client_dc: str) -> tuple:
-    """One key on a partition with a local leader, one on a remote one —
-    the Figure 2 scenario (participants in DC1 and DC2)."""
-    local_key = remote_key = None
-    for i in range(5000):
-        key = f"trace{i}"
-        pid = cluster.ring.partition_for(key)
-        leader_dc = cluster.directory.lookup(pid).leader_datacenter()
-        if leader_dc == client_dc and local_key is None:
-            local_key = key
-        elif leader_dc != client_dc and remote_key is None:
-            remote_key = key
-        if local_key and remote_key:
-            return (local_key, remote_key)
-    raise RuntimeError("could not find suitable trace keys")
 
 
 def render_trace(trace: List[TracedMessage], title: str) -> str:

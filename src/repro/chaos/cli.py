@@ -24,13 +24,8 @@ from repro.bench.report import render_link_faults
 from repro.chaos.bugs import PLANTABLE_BUGS
 from repro.chaos.minimize import minimize_schedule
 from repro.chaos.oracles import OracleViolation
-from repro.chaos.runner import (
-    SYSTEMS,
-    ChaosOptions,
-    ChaosRunResult,
-    canonical_system,
-    run_chaos,
-)
+from repro.chaos.runner import ChaosOptions, ChaosRunResult, run_chaos
+from repro.systems import NAMES, cli_systems
 from repro.trace.tracer import SPAN_NEMESIS
 
 
@@ -133,18 +128,16 @@ def _report_counterexample(system: str, seed: int, result: ChaosRunResult,
             print(f"      {line}")
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Entry point; ``argv`` includes the leading ``chaos`` verb."""
-    argv = list(argv) if argv is not None else []
-    if argv and argv[0] == "chaos":
-        argv = argv[1:]
+def build_parser() -> argparse.ArgumentParser:
+    """The ``repro chaos`` argument parser."""
     parser = argparse.ArgumentParser(
         prog="repro chaos",
         description="Deterministic nemesis harness: adversarial faults, "
                     "safety/liveness oracles, schedule minimization.")
     parser.add_argument("--system", default="carousel-fast",
-                        help="carousel-basic|carousel-fast|layered|tapir|"
-                             "all (aliases: basic, fast)")
+                        type=cli_systems,
+                        help=f"{'|'.join(NAMES)}, a comma-separated "
+                             "list, or all")
     parser.add_argument("--seeds", default="0..4",
                         help='seed set: "0..9", "3", or "1,4,7"')
     parser.add_argument("--rounds", type=int, default=25,
@@ -170,12 +163,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="worker processes for minimization replays "
                              "(default 1: in-process)")
+    return parser
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Entry point; ``argv`` includes the leading ``chaos`` verb."""
+    argv = list(argv) if argv is not None else []
+    if argv and argv[0] == "chaos":
+        argv = argv[1:]
+    parser = build_parser()
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
 
-    systems = list(SYSTEMS) if args.system == "all" else [
-        canonical_system(args.system)]
+    systems = args.system
     seeds = parse_seeds(args.seeds)
     opts = ChaosOptions(rounds=args.rounds, n_events=args.events,
                         restart_weight=args.restart_weight,

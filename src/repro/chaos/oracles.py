@@ -1,9 +1,10 @@
 """Safety and liveness oracles for chaos runs.
 
 All oracles run *after* the final heal and a quiescence window, against
-an adapter (:class:`repro.chaos.runner.ClusterAdapter`) that gives them a
-uniform view of clients, stores, and resolved-outcome maps across the
-four systems.  The workload is increment-only and keys start absent, so
+an :class:`OracleAdapter` that gives them a uniform view of clients,
+stores, and resolved-outcome maps across the four systems, read live
+from a cluster or from merged snapshots.  The workload
+(:func:`increment_spec`) is increment-only and keys start absent, so
 the expected store state is exact: a key's value **and** version must
 both equal the number of committed transactions that wrote it.
 
@@ -27,15 +28,91 @@ both equal the number of committed transactions that wrote it.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.txn import TxnResult
+from repro.txn import TransactionSpec, TxnResult
 
 COMMIT = "commit"
 
 #: A client result paired with the write-key set of its transaction.
 ResultRow = Tuple[Tuple[str, ...], TxnResult]
+
+
+def increment_spec(keys: Tuple[str, ...]) -> TransactionSpec:
+    """Read-modify-write increment of each key (the oracle workload)."""
+    def compute(reads: Dict[str, Any]) -> Dict[str, Any]:
+        return {k: (reads.get(k) or 0) + 1 for k in keys}
+
+    return TransactionSpec(read_keys=keys, write_keys=keys,
+                           compute_writes=compute, txn_type="increment")
+
+
+def pick_increment(rng: random.Random, n_clients: int,
+                   keys: Sequence[str], pair_fraction: float
+                   ) -> Tuple[int, Tuple[str, ...]]:
+    """One seeded workload row, ``(client_index, keys)``: two sorted keys
+    (usually a cross-partition transaction) with probability
+    ``pair_fraction``, else one."""
+    client = rng.randrange(n_clients)
+    if len(keys) >= 2 and rng.random() < pair_fraction:
+        return client, tuple(sorted(rng.sample(list(keys), 2)))
+    return client, (keys[rng.randrange(len(keys))],)
+
+
+class OracleAdapter:
+    """The oracles' view of one deployment.
+
+    ``store(node_id, pid)`` and ``resolved(node_id, pid)`` give a
+    replica's versioned store and ``{tid: "commit"|"abort"}`` map for a
+    partition; replicas are enumerated from ``directory``.  They read a
+    live cluster (:func:`repro.chaos.runner.ClusterAdapter`) or merged
+    snapshots (:func:`repro.runtime.harness.SnapshotAdapter`).
+    """
+
+    def __init__(self, ring: Any, directory: Any,
+                 partition_ids: Sequence[str], clients: Sequence[Any],
+                 store: Callable[[str, str], Any],
+                 resolved: Callable[[str, str], Dict[Any, str]]):
+        self.ring = ring
+        self.directory = directory
+        self.partition_ids = list(partition_ids)
+        self._clients = list(clients)
+        self._store = store
+        self._resolved = resolved
+
+    def clients(self) -> List[Any]:
+        """All workload clients, construction order."""
+        return list(self._clients)
+
+    def client_quiesced(self, client: Any) -> bool:
+        """Whether ``client`` has no work outstanding (its
+        ``quiesced()``; kept for drain loops that hold only an adapter,
+        such as the repository benchmark's)."""
+        return client.quiesced()
+
+    def partitions_for(self, keys: Sequence[str]) -> List[str]:
+        """Sorted partition ids holding ``keys``."""
+        return sorted({self.ring.partition_for(k) for k in keys})
+
+    def stores_for_key(self, key: str) -> List[Tuple[str, Any]]:
+        """``(node_id, store)`` for every replica of ``key``."""
+        pid = self.ring.partition_for(key)
+        return [(node_id, self._store(node_id, pid))
+                for node_id in self.directory.lookup(pid).replicas]
+
+    def resolved_for_pid(self, pid: str) -> List[Tuple[str, Dict]]:
+        """``(location, {tid: decision})`` per replica of ``pid``."""
+        return [(f"{node_id}/{pid}", self._resolved(node_id, pid))
+                for node_id in self.directory.lookup(pid).replicas]
+
+    def resolved_maps(self) -> List[Tuple[str, Dict]]:
+        """Resolved-outcome maps for every replica of every partition."""
+        out = []
+        for pid in self.partition_ids:
+            out.extend(self.resolved_for_pid(pid))
+        return out
 
 
 @dataclass
@@ -67,7 +144,7 @@ def check_liveness(adapter, expected: int,
                 "liveness",
                 f"{client.node_id}: submitted={client.submitted} != "
                 f"committed={client.committed} + aborted={client.aborted}"))
-        pending = adapter.client_pending(client)
+        pending = client.pending()
         if pending:
             violations.append(OracleViolation(
                 "liveness",
@@ -113,18 +190,24 @@ def check_decisions(adapter,
     return violations
 
 
+def _committed_increments(results: Sequence[ResultRow]
+                          ) -> Tuple[Dict[str, int], Dict[str, Any]]:
+    """Per key: committed increments, and the last committer's tid."""
+    counts: Dict[str, int] = {}
+    last_tid: Dict[str, Any] = {}
+    for write_keys, result in results:
+        if result.committed:
+            for key in write_keys:
+                counts[key] = counts.get(key, 0) + 1
+                last_tid[key] = result.tid
+    return counts, last_tid
+
+
 def check_stores(adapter, results: Sequence[ResultRow],
                  keys: Sequence[str]) -> List[OracleViolation]:
     """Replica agreement plus exact increment accounting per key."""
     violations: List[OracleViolation] = []
-    committed_writes: Dict[str, int] = {}
-    last_tid: Dict[str, Any] = {}
-    for write_keys, result in results:
-        if not result.committed:
-            continue
-        for key in write_keys:
-            committed_writes[key] = committed_writes.get(key, 0) + 1
-            last_tid[key] = result.tid
+    committed_writes, last_tid = _committed_increments(results)
     for key in sorted(keys):
         want = committed_writes.get(key, 0)
         replicas = adapter.stores_for_key(key)
@@ -160,14 +243,7 @@ def check_durability(adapter, results: Sequence[ResultRow],
     — RAM-only survivals cannot mask a journaling hole.
     """
     violations: List[OracleViolation] = []
-    committed_writes: Dict[str, int] = {}
-    last_tid: Dict[str, Any] = {}
-    for write_keys, result in results:
-        if not result.committed:
-            continue
-        for key in write_keys:
-            committed_writes[key] = committed_writes.get(key, 0) + 1
-            last_tid[key] = result.tid
+    committed_writes, last_tid = _committed_increments(results)
     for key in sorted(keys):
         want = committed_writes.get(key, 0)
         for node_id, store in adapter.stores_for_key(key):

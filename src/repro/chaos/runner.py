@@ -8,10 +8,11 @@ for quiescence, and then evaluates the safety and liveness oracles
 re-running the same ``(system, seed, schedule)`` triple is byte-identical,
 which is what lets :mod:`repro.chaos.minimize` replay subsequences.
 
-Timing uses the aggressive chaos profile: fast Raft elections, fast
-client heartbeats, and an 800 ms retransmission base with exponential
-backoff (multiplier 2, cap 6.4 s, 10 % deterministic jitter) so lost
-messages are retried promptly without synchronized retry storms.
+Timing uses the ``chaos`` profile of :mod:`repro.systems`: fast Raft
+elections, fast client heartbeats, and an 800 ms retransmission base
+with exponential backoff (multiplier 2, cap 6.4 s, 10 % deterministic
+jitter) so lost messages are retried promptly without synchronized
+retry storms.
 """
 
 from __future__ import annotations
@@ -21,12 +22,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.bench.cluster import (
-    CarouselCluster,
-    DeploymentSpec,
-    LayeredCluster,
-    TapirCluster,
-)
+from repro.bench.cluster import DeploymentSpec
 from repro.chaos.nemesis import (
     NemesisEvent,
     apply_schedule,
@@ -34,54 +30,29 @@ from repro.chaos.nemesis import (
     schedule_horizon,
 )
 from repro.chaos.oracles import (
+    OracleAdapter,
     OracleViolation,
     ResultRow,
     check_decisions,
     check_durability,
     check_liveness,
     check_stores,
+    increment_spec,
+    pick_increment,
 )
-from repro.core.backoff import RetryPolicy
-from repro.core.config import BASIC, FAST, CarouselConfig
-from repro.raft.node import RaftConfig
 from repro.sim.failure import FailureInjector
 from repro.sim.stats import link_fault_summary, restart_summary
-from repro.tapir.config import TapirConfig
+from repro.systems import build, get
 from repro.trace.tracer import Tracer
-from repro.txn import TransactionSpec
-
-#: The four systems the nemesis torments.
-SYSTEMS = ("carousel-basic", "carousel-fast", "layered", "tapir")
-
-_ALIASES = {
-    "basic": "carousel-basic",
-    "fast": "carousel-fast",
-    "carousel": "carousel-fast",
-}
 
 #: Virtual ms the cluster runs before anything else happens (heartbeats
 #: establish; leaders are bootstrap-assigned so no elections are needed).
 _SETTLE_MS = 600.0
 
-_CHAOS_RAFT = dict(election_timeout_min_ms=400.0,
-                   election_timeout_max_ms=800.0,
-                   heartbeat_interval_ms=100.0)
-_CHAOS_BACKOFF = dict(base_ms=800.0, multiplier=2.0, max_ms=6400.0,
-                      jitter_fraction=0.1)
-
 #: Virtual ms the final-restart verification phase runs: long enough for
 #: every group to elect a leader from scratch (400–800 ms timeouts, with
 #: retries for split votes), commit its term no-op, and re-apply its log.
 _RESTART_VERIFY_MS = 15_000.0
-
-
-def canonical_system(name: str) -> str:
-    """Resolve a system name or alias to its canonical form."""
-    canon = _ALIASES.get(name, name)
-    if canon not in SYSTEMS:
-        raise ValueError(f"unknown system {name!r}; expected one of "
-                         f"{', '.join(SYSTEMS)} (or basic/fast)")
-    return canon
 
 
 @dataclass
@@ -147,164 +118,65 @@ class ChaosRunResult:
         return not self.violations
 
 
-class ClusterAdapter:
-    """Uniform post-run access to cluster internals for the oracles.
-
-    Bridges the structural differences between the four systems: where
-    stores live (per-partition components vs. whole-replica stores),
-    what "resolved" means (writeback decisions vs. IR commit booleans),
-    and which nodes are legitimate nemesis targets.
-    """
-
-    def __init__(self, system: str, cluster: Any):
-        self.system = system
-        self.cluster = cluster
-
-    def clients(self) -> List[Any]:
-        """All workload clients, construction order."""
-        return list(self.cluster.clients)
-
-    def client_pending(self, client: Any) -> int:
-        """Transactions this client still has in flight (or queued)."""
-        pending = len(client._active)
-        pending += len(getattr(client, "_queued", ()))
-        return pending
-
-    def client_quiesced(self, client: Any) -> bool:
-        """No active/queued work and no unacknowledged commit rounds."""
-        if self.client_pending(client):
-            return False
-        return not getattr(client, "_commit_acks_pending", None)
-
-    def server_ids(self) -> List[str]:
-        """Sorted server node ids — the nemesis's victim pool."""
-        if self.system == "tapir":
-            return sorted(self.cluster.replicas)
-        return sorted(self.cluster.servers)
-
-    def partitions_for(self, keys: Sequence[str]) -> List[str]:
-        """Sorted partition ids holding ``keys``."""
-        return sorted({self.cluster.ring.partition_for(k) for k in keys})
-
-    def replica_groups(self) -> List[Tuple[str, ...]]:
-        """The replica node-id set of every consensus group (for TAPIR,
-        of every partition), sorted — the correlated-restart targets."""
-        groups = set()
-        for pid in self.cluster.partition_ids:
-            groups.add(tuple(sorted(
-                r.node_id for r in self.cluster.replicas_of(pid))))
-        return sorted(groups)
-
-    def stores_for_key(self, key: str) -> List[Tuple[str, Any]]:
-        """``(node_id, VersionedKVStore)`` for every replica of ``key``."""
-        pid = self.cluster.ring.partition_for(key)
-        out = []
-        for replica in self.cluster.replicas_of(pid):
-            if self.system == "tapir":
-                out.append((replica.node_id, replica.store))
-            else:
-                out.append((replica.node_id,
-                            replica.partitions[pid].store))
-        return out
-
-    def resolved_for_pid(self, pid: str) -> List[Tuple[str, Dict]]:
-        """``(location, {tid: "commit"|"abort"})`` per replica of ``pid``."""
-        out = []
-        for replica in self.cluster.replicas_of(pid):
-            if self.system == "tapir":
-                resolved = {tid: ("commit" if ok else "abort")
-                            for tid, ok in replica.resolved.items()}
-            else:
-                resolved = dict(replica.partitions[pid].resolved)
-            out.append((f"{replica.node_id}/{pid}", resolved))
-        return out
-
-    def resolved_maps(self) -> List[Tuple[str, Dict]]:
-        """Resolved-outcome maps for every replica of every partition."""
-        out = []
-        for pid in self.cluster.partition_ids:
-            out.extend(self.resolved_for_pid(pid))
-        return out
+def ClusterAdapter(system: str, cluster: Any) -> OracleAdapter:
+    """The oracle adapter over a live ``cluster`` of ``system``."""
+    row = get(system)
+    servers = cluster.servers
+    return OracleAdapter(
+        cluster.ring, cluster.directory, cluster.partition_ids,
+        cluster.clients,
+        store=lambda node_id, pid: row.store(servers[node_id], pid),
+        resolved=lambda node_id, pid: row.resolved(servers[node_id], pid))
 
 
-def _build_cluster(system: str, seed: int) -> Any:
-    spec = DeploymentSpec(seed=seed)
-    if system in ("carousel-basic", "carousel-fast"):
-        mode = FAST if system == "carousel-fast" else BASIC
-        return CarouselCluster(spec, CarouselConfig(
-            mode=mode,
-            heartbeat_interval_ms=500.0,
-            heartbeat_misses=3,
-            client_retry_ms=_CHAOS_BACKOFF["base_ms"],
-            retry_backoff_multiplier=_CHAOS_BACKOFF["multiplier"],
-            retry_backoff_max_ms=_CHAOS_BACKOFF["max_ms"],
-            retry_jitter_fraction=_CHAOS_BACKOFF["jitter_fraction"],
-            raft=RaftConfig(**_CHAOS_RAFT)))
-    if system == "layered":
-        return LayeredCluster(spec, raft_config=RaftConfig(**_CHAOS_RAFT),
-                              retry_policy=RetryPolicy(**_CHAOS_BACKOFF))
-    if system == "tapir":
-        return TapirCluster(spec, TapirConfig(
-            fast_path_timeout_ms=250.0,
-            retry_ms=_CHAOS_BACKOFF["base_ms"],
-            retry_backoff_multiplier=_CHAOS_BACKOFF["multiplier"],
-            retry_backoff_max_ms=_CHAOS_BACKOFF["max_ms"],
-            retry_jitter_fraction=_CHAOS_BACKOFF["jitter_fraction"]))
-    raise ValueError(f"unknown system {system!r}")  # pragma: no cover
+def replica_groups(cluster: Any) -> List[Tuple[str, ...]]:
+    """The replica node-id set of every consensus group (for TAPIR, of
+    every partition), sorted — the correlated-restart targets."""
+    return sorted({tuple(sorted(cluster.directory.lookup(pid).replicas))
+                   for pid in cluster.partition_ids})
 
 
-def candidate_links(adapter: ClusterAdapter) -> List[Tuple[str, str]]:
+def candidate_links(system: str, cluster: Any) -> List[Tuple[str, str]]:
     """Endpoint pairs the nemesis may degrade, restricted to links that
     actually carry protocol traffic (degrading a silent link tests
     nothing): intra-group Raft links, leader-to-leader links
     (coordinator prepares and writebacks), and client-to-server links.
-    TAPIR replicas never talk to each other — IR is client-driven — so
-    its candidates are the client/replica pairs.  Server/server links
-    appear three times so the nemesis samples them more often: that is
-    where replication and 2PC traffic concentrates.  Deterministic
-    order."""
-    cluster = adapter.cluster
-    clients = sorted(c.node_id for c in adapter.clients())
+    Without Raft groups (TAPIR: IR is client-driven) replicas never talk
+    to each other, so the candidates are the client/replica pairs.
+    Server/server links appear three times so the nemesis samples them
+    more often: that is where replication and 2PC traffic concentrates.
+    Deterministic order."""
+    clients = sorted(c.node_id for c in cluster.clients)
     links = set()
-    if adapter.system == "tapir":
+    if not get(system).consensus:
         for client_id in clients:
-            for replica_id in sorted(cluster.replicas):
+            for replica_id in sorted(cluster.servers):
                 links.add((client_id, replica_id))
-    else:
-        leaders = []
-        for pid in cluster.partition_ids:
-            info = cluster.directory.lookup(pid)
-            leaders.append(info.leader)
-            replicas = list(info.replicas)
-            for i, a in enumerate(replicas):
-                for b in replicas[i + 1:]:
-                    links.add(tuple(sorted((a, b))))
-        for i, a in enumerate(leaders):
-            for b in leaders[i + 1:]:
-                if a != b:
-                    links.add(tuple(sorted((a, b))))
-        servers_by_dc: Dict[str, List[str]] = {}
-        for server_id in adapter.server_ids():
-            server = cluster.servers[server_id]
-            servers_by_dc.setdefault(server.dc, []).append(server_id)
-        client_links = set()
-        for client in adapter.clients():
-            for leader in leaders:
-                client_links.add((client.node_id, leader))
-            # Fast-mode local reads talk to same-datacenter replicas.
-            for server_id in servers_by_dc.get(client.dc, ()):
-                client_links.add((client.node_id, server_id))
-        return sorted(links) * 3 + sorted(client_links)
-    return sorted(links)
-
-
-def _increment_spec(keys: Tuple[str, ...]) -> TransactionSpec:
-    """Read-modify-write increment of each key (the oracle workload)."""
-    def compute(reads: Dict[str, Any]) -> Dict[str, Any]:
-        return {k: (reads.get(k) or 0) + 1 for k in keys}
-
-    return TransactionSpec(read_keys=keys, write_keys=keys,
-                           compute_writes=compute, txn_type="chaos-incr")
+        return sorted(links)
+    leaders = []
+    for pid in cluster.partition_ids:
+        info = cluster.directory.lookup(pid)
+        leaders.append(info.leader)
+        replicas = list(info.replicas)
+        for i, a in enumerate(replicas):
+            for b in replicas[i + 1:]:
+                links.add(tuple(sorted((a, b))))
+    for i, a in enumerate(leaders):
+        for b in leaders[i + 1:]:
+            if a != b:
+                links.add(tuple(sorted((a, b))))
+    servers_by_dc: Dict[str, List[str]] = {}
+    for server_id in sorted(cluster.servers):
+        server = cluster.servers[server_id]
+        servers_by_dc.setdefault(server.dc, []).append(server_id)
+    client_links = set()
+    for client in cluster.clients:
+        for leader in leaders:
+            client_links.add((client.node_id, leader))
+        # Fast-mode local reads talk to same-datacenter replicas.
+        for server_id in servers_by_dc.get(client.dc, ()):
+            client_links.add((client.node_id, server_id))
+    return sorted(links) * 3 + sorted(client_links)
 
 
 def build_workload_plan(seed: int, opts: ChaosOptions, n_clients: int,
@@ -317,15 +189,11 @@ def build_workload_plan(seed: int, opts: ChaosOptions, n_clients: int,
     replays a full schedule or a minimized subsequence.
     """
     rng = random.Random(f"workload:{seed}")
-    plan: List[Tuple[float, int, Tuple[str, ...]]] = []
+    plan = []
     for _ in range(opts.rounds):
         at = opts.warmup_ms + rng.uniform(0.0, opts.window_ms)
-        client = rng.randrange(n_clients)
-        if len(keys) >= 2 and rng.random() < opts.pair_fraction:
-            picked = tuple(sorted(rng.sample(list(keys), 2)))
-        else:
-            picked = (keys[rng.randrange(len(keys))],)
-        plan.append((at, client, picked))
+        plan.append((at,) + pick_increment(rng, n_clients, keys,
+                                           opts.pair_fraction))
     plan.sort()
     return plan
 
@@ -343,24 +211,24 @@ def run_chaos(system: str, seed: int,
     the whole run (used to validate that the oracles catch known bugs).
     """
     opts = opts or ChaosOptions()
-    canon = canonical_system(system)
+    canon = get(system).name
     guard = planted_bug() if planted_bug is not None else nullcontext()
     with guard:
-        cluster = _build_cluster(canon, seed)
+        cluster = build(canon, DeploymentSpec(seed=seed), profile="chaos")
         kernel = cluster.kernel
         adapter = ClusterAdapter(canon, cluster)
         kernel.run(until=_SETTLE_MS)
         tracer = Tracer(kernel) if opts.trace else None
 
-        servers = adapter.server_ids()
+        servers = sorted(cluster.servers)
         if schedule is None:
             schedule = generate_schedule(
-                seed, servers, candidate_links(adapter),
+                seed, servers, candidate_links(canon, cluster),
                 start_ms=opts.warmup_ms,
                 end_ms=opts.warmup_ms + opts.window_ms,
                 n_events=opts.n_events,
                 restart_weight=opts.restart_weight,
-                groups=adapter.replica_groups())
+                groups=replica_groups(cluster))
         schedule = list(schedule)
         injector = FailureInjector(kernel, cluster.network)
         apply_schedule(injector, schedule, servers)
@@ -370,7 +238,7 @@ def run_chaos(system: str, seed: int,
         results: List[ResultRow] = []
         for at, client_index, picked in plan:
             client = cluster.clients[client_index]
-            spec = _increment_spec(picked)
+            spec = increment_spec(picked)
 
             def _submit(client=client, spec=spec, picked=picked):
                 client.submit(
@@ -394,7 +262,7 @@ def run_chaos(system: str, seed: int,
         while kernel.now < deadline:
             kernel.run(until=min(kernel.now + 250.0, deadline))
             if done_at is None and len(results) >= expected and all(
-                    adapter.client_quiesced(c) for c in adapter.clients()):
+                    c.quiesced() for c in cluster.clients):
                 done_at = kernel.now
             if done_at is not None and kernel.now - done_at >= opts.drain_ms:
                 break

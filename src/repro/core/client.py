@@ -144,6 +144,14 @@ class CarouselClient(Node):
         self._arm_retry(txn)
         return tid
 
+    def pending(self) -> int:
+        """Transactions submitted here and not yet answered."""
+        return len(self._active)
+
+    def quiesced(self) -> bool:
+        """Whether this client has no work outstanding."""
+        return not self._active
+
     # ------------------------------------------------------------------
     # Setup helpers
     # ------------------------------------------------------------------

@@ -111,6 +111,14 @@ class LayeredClient(Node):
         self._arm_retry(txn)
         return tid
 
+    def pending(self) -> int:
+        """Transactions submitted here and not yet answered."""
+        return len(self._active)
+
+    def quiesced(self) -> bool:
+        """Whether this client has no work outstanding."""
+        return not self._active
+
     def _arm_retry(self, txn: _LayeredTxn) -> None:
         delay = self.retry_policy.delay_ms(txn.retries,
                                            self.kernel.random)

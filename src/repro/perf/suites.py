@@ -19,7 +19,7 @@ Microbenchmarks
 
 End-to-end
     ``e2e-<system>``     committed transactions/sec under the Retwis
-                         driver for all four evaluated systems.
+                         driver for every system in :mod:`repro.systems`.
 
 All suites seed their kernels explicitly, so the op counters of a given
 (suite, scale) pair are stable across hosts and runs.
@@ -40,11 +40,10 @@ from repro.sim.message import Message
 from repro.sim.network import LinkFaults, Network
 from repro.sim.node import Node
 from repro.sim.topology import uniform_topology
+from repro.systems import SYSTEMS, build
 
 SCALES = ("quick", "full")
 
-#: The four evaluated systems, all of which get an e2e suite.
-E2E_SYSTEMS = ("carousel-basic", "carousel-fast", "layered", "tapir")
 
 
 @dataclass
@@ -284,16 +283,6 @@ def _bench_zipf(method: str, scale: str) -> SuiteResult:
 # end-to-end system benchmarks
 
 
-def _build_e2e_cluster(system: str, spec):
-    if system == "layered":
-        from repro.bench.cluster import LayeredCluster
-
-        return LayeredCluster(spec)
-    from repro.bench.runner import build_cluster
-
-    return build_cluster(system, spec)
-
-
 def _bench_e2e(system: str, scale: str) -> SuiteResult:
     """Committed transactions/sec under the Retwis driver.
 
@@ -310,7 +299,7 @@ def _bench_e2e(system: str, scale: str) -> SuiteResult:
     target_tps = 200.0 if scale == "quick" else 400.0
     spec = DeploymentSpec(topology=uniform_topology(3, 10.0),
                           n_partitions=3, seed=23, clients_per_dc=4)
-    cluster = _build_e2e_cluster(system, spec)
+    cluster = build(system, spec)
     workload = RetwisWorkload(n_keys=10_000, seed=24)
     driver = WorkloadDriver(cluster, workload, target_tps=target_tps,
                             duration_ms=duration_ms, warmup_ms=500.0,
@@ -320,10 +309,7 @@ def _bench_e2e(system: str, scale: str) -> SuiteResult:
     stats = driver.run()
     wall = time.perf_counter() - start
     committed = stats.outcomes.count(COMMITTED)
-    ops = cluster.kernel.op_counters()
-    ops["messages_sent"] = cluster.network.messages_sent
-    ops["messages_delivered"] = cluster.network.messages_delivered
-    ops["messages_dropped"] = cluster.network.messages_dropped
+    ops = _net_ops(cluster.kernel, cluster.network)
     ops["committed"] = committed
     ops["aborted"] = stats.outcomes.count(ABORTED)
     ops["submitted"] = stats.submitted
@@ -345,10 +331,8 @@ _SUITE_BUILDERS: Dict[str, Callable[[str], SuiteResult]] = {
     "net-send-traced": _bench_net_send_traced,
     "zipf-approx": lambda s: _bench_zipf("approx", s),
     "zipf-alias": lambda s: _bench_zipf("alias", s),
-    "e2e-carousel-basic": lambda s: _bench_e2e("carousel-basic", s),
-    "e2e-carousel-fast": lambda s: _bench_e2e("carousel-fast", s),
-    "e2e-layered": lambda s: _bench_e2e("layered", s),
-    "e2e-tapir": lambda s: _bench_e2e("tapir", s),
+    **{f"e2e-{system}": (lambda s, _system=system: _bench_e2e(_system, s))
+       for system in SYSTEMS},
 }
 
 #: Repetitions per suite: microbenchmarks run best-of-``_MICRO_REPS``,

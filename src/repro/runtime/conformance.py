@@ -36,16 +36,14 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.msggraph import build_graph_from_paths
-from repro.bench.cluster import (
-    CarouselCluster,
-    DeploymentSpec,
-    LayeredCluster,
-    TapirCluster,
+from repro.bench.cluster import DeploymentSpec
+from repro.chaos.oracles import (
+    ResultRow,
+    check_decisions,
+    check_stores,
+    increment_spec,
+    pick_increment,
 )
-from repro.chaos.oracles import ResultRow, check_decisions, check_stores
-from repro.core.backoff import RetryPolicy
-from repro.core.config import BASIC, FAST, CarouselConfig
-from repro.raft.node import RaftConfig
 from repro.runtime.aio import AioRuntime
 from repro.runtime.harness import (
     SnapshotAdapter,
@@ -53,11 +51,7 @@ from repro.runtime.harness import (
     snapshot_cluster,
 )
 from repro.sim.topology import ec2_five_regions
-from repro.tapir.config import TapirConfig
-from repro.txn import TransactionSpec
-
-#: The four systems under differential test.
-SYSTEMS = ("carousel-basic", "carousel-fast", "layered", "tapir")
+from repro.systems import build, get
 
 #: Message types whose counts are driven by clocks, not by requests:
 #: Raft heartbeats and elections, and the client failure-detector
@@ -68,24 +62,6 @@ TIME_DRIVEN = frozenset({
     "RequestVote", "RequestVoteReply",
     "ClientHeartbeat",
 })
-
-#: Which static-graph protocols each system's traffic may use.
-SYSTEM_PROTOCOLS = {
-    "carousel-basic": frozenset({"carousel", "raft"}),
-    "carousel-fast": frozenset({"carousel", "raft"}),
-    "layered": frozenset({"layered", "raft"}),
-    "tapir": frozenset({"tapir"}),
-}
-
-# Conformance timing profile: fast Raft heartbeats so followers apply
-# promptly on both clocks, and retry/timeout bases far above localhost
-# (and simulated WAN) round trips so no retransmission or slow-path
-# timer fires on either backend during a healthy sequential run.
-_CONFORM_RAFT = dict(election_timeout_min_ms=1500.0,
-                     election_timeout_max_ms=3000.0,
-                     heartbeat_interval_ms=100.0)
-_CONFORM_BACKOFF = dict(base_ms=3000.0, multiplier=2.0, max_ms=12_000.0,
-                        jitter_fraction=0.1)
 
 
 @dataclass
@@ -141,34 +117,14 @@ class ConformanceResult:
 
 
 def build_system(system: str, seed: int, runtime=None, topology=None):
-    """One conformance-profile deployment of ``system`` on ``runtime``
-    (``None`` = the DES backend)."""
-    spec = DeploymentSpec(seed=seed, topology=topology)
-    if system in ("carousel-basic", "carousel-fast"):
-        mode = FAST if system == "carousel-fast" else BASIC
-        return CarouselCluster(spec, CarouselConfig(
-            mode=mode,
-            heartbeat_interval_ms=500.0,
-            heartbeat_misses=3,
-            client_retry_ms=_CONFORM_BACKOFF["base_ms"],
-            retry_backoff_multiplier=_CONFORM_BACKOFF["multiplier"],
-            retry_backoff_max_ms=_CONFORM_BACKOFF["max_ms"],
-            retry_jitter_fraction=_CONFORM_BACKOFF["jitter_fraction"],
-            raft=RaftConfig(**_CONFORM_RAFT)), runtime=runtime)
-    if system == "layered":
-        return LayeredCluster(spec, raft_config=RaftConfig(**_CONFORM_RAFT),
-                              retry_policy=RetryPolicy(**_CONFORM_BACKOFF),
-                              runtime=runtime)
-    if system == "tapir":
-        return TapirCluster(spec, TapirConfig(
-            fast_path_timeout_ms=2000.0,
-            retry_ms=_CONFORM_BACKOFF["base_ms"],
-            retry_backoff_multiplier=_CONFORM_BACKOFF["multiplier"],
-            retry_backoff_max_ms=_CONFORM_BACKOFF["max_ms"],
-            retry_jitter_fraction=_CONFORM_BACKOFF["jitter_fraction"]),
-            runtime=runtime)
-    raise ValueError(f"unknown system {system!r}; expected one of "
-                     f"{', '.join(SYSTEMS)}")
+    """One ``conform``-profile deployment of ``system`` on ``runtime``
+    (``None`` = the DES backend).  The profile (:mod:`repro.systems`)
+    keeps Raft heartbeats fast so followers apply promptly on both
+    clocks, and retry/timeout bases far above localhost (and simulated
+    WAN) round trips so no retransmission or slow-path timer fires on
+    either backend during a healthy sequential run."""
+    return build(system, DeploymentSpec(seed=seed, topology=topology),
+                 profile="conform", runtime=runtime)
 
 
 def build_conformance_plan(seed: int, opts: ConformanceOptions,
@@ -179,24 +135,8 @@ def build_conformance_plan(seed: int, opts: ConformanceOptions,
     backends' kernel RNGs, so the submitted workload is identical by
     construction."""
     rng = random.Random(f"conform:{seed}")
-    plan: List[Tuple[int, Tuple[str, ...]]] = []
-    for _ in range(opts.rounds):
-        client = rng.randrange(n_clients)
-        if len(keys) >= 2 and rng.random() < opts.pair_fraction:
-            picked = tuple(sorted(rng.sample(list(keys), 2)))
-        else:
-            picked = (keys[rng.randrange(len(keys))],)
-        plan.append((client, picked))
-    return plan
-
-
-def increment_spec(keys: Tuple[str, ...]) -> TransactionSpec:
-    """Read-modify-write increment of each key (the oracle workload)."""
-    def compute(reads: Dict[str, Any]) -> Dict[str, Any]:
-        return {k: (reads.get(k) or 0) + 1 for k in keys}
-
-    return TransactionSpec(read_keys=keys, write_keys=keys,
-                           compute_writes=compute, txn_type="conform-incr")
+    return [pick_increment(rng, n_clients, keys, opts.pair_fraction)
+            for _ in range(opts.rounds)]
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +283,7 @@ def reconcile_counts(system: str, counts_des: Dict[str, int],
     """
     if graph is None:
         graph = _message_graph()
-    allowed = SYSTEM_PROTOCOLS[system]
+    allowed = get(system).protocols
     violations: List[str] = []
     for backend, counts in (("des", counts_des), ("aio", counts_aio)):
         for name in sorted(counts):
@@ -441,9 +381,7 @@ def run_conformance(system: str, seed: int,
                     graph=None) -> ConformanceResult:
     """One full differential run of ``system`` at ``seed``."""
     opts = opts or ConformanceOptions()
-    if system not in SYSTEMS:
-        raise ValueError(f"unknown system {system!r}; expected one of "
-                         f"{', '.join(SYSTEMS)}")
+    system = get(system).name
     keys = [f"wk{i}" for i in range(opts.n_keys)]
     n_clients = len(ec2_five_regions().datacenters)
     plan = build_conformance_plan(seed, opts, n_clients, keys)

@@ -5,11 +5,12 @@ Two concerns live here because they share the wire codec:
 * **Snapshots** — a serializable view of one process's replicated state
   (per-partition store contents and resolved-outcome maps) plus its
   transport counters.  :func:`snapshot_cluster` extracts one from a live
-  cluster object; :class:`SnapshotAdapter` replays the merged snapshots
-  through the *same* oracle functions the chaos harness uses
-  (:func:`repro.chaos.oracles.check_stores` / ``check_decisions``), so
-  the conformance verdict reuses the battle-tested value-parity logic
-  instead of reimplementing it.
+  cluster object through the registry's replica accessors;
+  :func:`SnapshotAdapter` serves the merged snapshots to the *same*
+  oracle adapter and functions the chaos harness uses
+  (:class:`repro.chaos.oracles.OracleAdapter`, ``check_stores`` /
+  ``check_decisions``), so the conformance verdict reuses the
+  value-parity logic instead of reimplementing it.
 
 * **Control frames** — the tiny orchestration vocabulary of the
   multi-process cluster (``python -m repro cluster``): address-table
@@ -25,14 +26,17 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
+from repro.chaos.oracles import OracleAdapter
 from repro.runtime.wire import (
     WireError,
     decode_value,
     encode_value,
     register_extra,
 )
+from repro.store.kvstore import Record
+from repro.systems import get
 
 # ---------------------------------------------------------------------------
 # Control frames
@@ -119,22 +123,17 @@ def snapshot_cluster(system: str, cluster: Any) -> dict:
          "resolved": {node_id: {pid: {TID: "commit"|"abort"}}},
          "sent_by_type": {message_type: count}}
     """
+    row = get(system)
     stores: Dict[str, dict] = {}
     resolved: Dict[str, dict] = {}
-    if system == "tapir":
-        for node_id, replica in sorted(cluster.replicas.items()):
-            pid = replica.partition_id
-            stores[node_id] = {pid: _store_contents(replica.store)}
-            resolved[node_id] = {pid: {
-                tid: ("commit" if ok else "abort")
-                for tid, ok in replica.resolved.items()}}
-    else:
-        for node_id, server in sorted(cluster.servers.items()):
-            stores[node_id] = {}
-            resolved[node_id] = {}
-            for pid, part in sorted(server.partitions.items()):
-                stores[node_id][pid] = _store_contents(part.store)
-                resolved[node_id][pid] = dict(part.resolved)
+    for pid in cluster.partition_ids:
+        for node_id in cluster.directory.lookup(pid).replicas:
+            host = cluster.servers.get(node_id)
+            if host is None:  # hosted by another process
+                continue
+            stores.setdefault(node_id, {})[pid] = _store_contents(
+                row.store(host, pid))
+            resolved.setdefault(node_id, {})[pid] = row.resolved(host, pid)
     network = cluster.network
     return {
         "stores": stores,
@@ -157,87 +156,30 @@ def merge_snapshots(snapshots: Sequence[dict]) -> dict:
     return merged
 
 
-class _SnapshotRecord:
-    """Duck-typed :class:`repro.store.kvstore.Record`."""
-
-    __slots__ = ("value", "version")
-
-    def __init__(self, value: Any, version: int):
-        self.value = value
-        self.version = version
-
-
 class _SnapshotStore:
     """Duck-typed read-only store over snapshotted ``{key: (v, ver)}``."""
 
     def __init__(self, contents: Dict[str, Tuple[Any, int]]):
         self._contents = contents
 
-    def read(self, key: str) -> _SnapshotRecord:
-        value, version = self._contents.get(key, (None, 0))
-        return _SnapshotRecord(value, version)
+    def read(self, key: str) -> Record:
+        return Record(*self._contents.get(key, (None, 0)))
 
 
-class SnapshotAdapter:
-    """The oracle-facing adapter interface of
-    :class:`repro.chaos.runner.ClusterAdapter`, backed by a merged
-    snapshot instead of live cluster objects.
+def SnapshotAdapter(merged: dict, ring: Any, directory: Any,
+                    partition_ids: Sequence[str],
+                    clients: Optional[Sequence[Any]] = None
+                    ) -> OracleAdapter:
+    """The oracle adapter over merged snapshots.
 
     ``ring``/``directory`` come from any process's cluster build — the
     builders populate them identically everywhere.  ``clients`` are the
     driver's live client objects (the driver hosts every client, so the
     liveness-side accessors need no snapshotting).
     """
-
-    def __init__(self, merged: dict, ring: Any, directory: Any,
-                 partition_ids: Sequence[str],
-                 clients: Optional[Sequence[Any]] = None):
-        self.merged = merged
-        self.ring = ring
-        self.directory = directory
-        self.partition_ids = list(partition_ids)
-        self._clients = list(clients or [])
-
-    def clients(self) -> List[Any]:
-        """All workload clients, construction order."""
-        return list(self._clients)
-
-    def client_pending(self, client: Any) -> int:
-        """Transactions this client still has in flight (or queued)."""
-        pending = len(client._active)
-        pending += len(getattr(client, "_queued", ()))
-        return pending
-
-    def client_quiesced(self, client: Any) -> bool:
-        """No active/queued work and no unacknowledged commit rounds."""
-        if self.client_pending(client):
-            return False
-        return not getattr(client, "_commit_acks_pending", None)
-
-    def partitions_for(self, keys: Sequence[str]) -> List[str]:
-        """Sorted partition ids holding ``keys``."""
-        return sorted({self.ring.partition_for(k) for k in keys})
-
-    def stores_for_key(self, key: str) -> List[Tuple[str, Any]]:
-        """``(node_id, store)`` for every replica of ``key``."""
-        pid = self.ring.partition_for(key)
-        out = []
-        for node_id in self.directory.lookup(pid).replicas:
-            contents = self.merged["stores"].get(node_id, {}).get(pid, {})
-            out.append((node_id, _SnapshotStore(contents)))
-        return out
-
-    def resolved_for_pid(self, pid: str) -> List[Tuple[str, Dict]]:
-        """``(location, {tid: decision})`` per replica of ``pid``."""
-        out = []
-        for node_id in self.directory.lookup(pid).replicas:
-            resolved = self.merged["resolved"].get(node_id, {}).get(pid, {})
-            out.append((f"{node_id}/{pid}", resolved))
-        return out
-
-    def resolved_maps(self) -> List[Tuple[str, Dict]]:
-        """Resolved-outcome maps for every replica of every partition."""
-        out = []
-        for pid in self.partition_ids:
-            out.extend(self.resolved_for_pid(pid))
-        return out
+    stores, resolved = merged["stores"], merged["resolved"]
+    return OracleAdapter(
+        ring, directory, partition_ids, clients or (),
+        store=lambda node_id, pid: _SnapshotStore(
+            stores.get(node_id, {}).get(pid, {})),
+        resolved=lambda node_id, pid: resolved.get(node_id, {}).get(pid, {}))

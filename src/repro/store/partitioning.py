@@ -12,12 +12,34 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Dict, List, Sequence
+from functools import lru_cache
+from typing import Dict, List, Sequence, Tuple
 
 
 def _hash64(data: str) -> int:
     digest = hashlib.blake2b(data.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big")
+
+
+@lru_cache(maxsize=None)
+def _ring(partition_ids: Tuple[str, ...],
+          vnodes: int) -> Tuple[Tuple[int, ...], Dict[int, str]]:
+    """Sorted ring points and their owners for one partition layout.
+
+    Every deployment of a layout hashes the same virtual nodes — most of
+    a cluster build's work — so this runs once per layout per process
+    and rings share the result read-only.
+    """
+    owners: Dict[int, str] = {}
+    for pid in partition_ids:
+        for v in range(vnodes):
+            point = _hash64(f"{pid}#{v}")
+            # Collisions across 64-bit hashes are effectively impossible,
+            # but resolve deterministically anyway.
+            while point in owners:
+                point = (point + 1) % (1 << 64)
+            owners[point] = pid
+    return tuple(sorted(owners)), owners
 
 
 class Partitioner:
@@ -54,20 +76,7 @@ class ConsistentHashRing(Partitioner):
             raise ValueError("vnodes must be positive")
         self._partitions = list(partition_ids)
         self.vnodes = vnodes
-        points: List[int] = []
-        owners: Dict[int, str] = {}
-        for pid in self._partitions:
-            for v in range(vnodes):
-                point = _hash64(f"{pid}#{v}")
-                # Collisions across 64-bit hashes are effectively impossible,
-                # but resolve deterministically anyway.
-                while point in owners:
-                    point = (point + 1) % (1 << 64)
-                owners[point] = pid
-                points.append(point)
-        points.sort()
-        self._points = points
-        self._owners = owners
+        self._points, self._owners = _ring(tuple(partition_ids), vnodes)
 
     @property
     def partitions(self) -> List[str]:

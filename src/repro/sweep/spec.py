@@ -28,7 +28,7 @@ from typing import Any, Dict, Optional
 #: covers a subpackage; anything else must match a file exactly.
 CODE_PREFIXES = (
     "sim/", "core/", "tapir/", "layered/", "raft/", "store/",
-    "workloads/", "chaos/", "txn.py",
+    "workloads/", "chaos/", "txn.py", "systems.py",
     "bench/cluster.py", "bench/runner.py",
     "perf/suites.py", "sweep/kinds.py",
 )

@@ -147,6 +147,16 @@ class TapirClient(Node):
             return None
         return self._start(spec, on_complete)
 
+    def pending(self) -> int:
+        """Transactions submitted here and not yet answered, queued ones
+        included."""
+        return len(self._active) + len(self._queued)
+
+    def quiesced(self) -> bool:
+        """Whether this client has no work outstanding: nothing pending
+        and every commit round acknowledged."""
+        return not self.pending() and not self._commit_acks_pending
+
     def _blocked_by_own(self, spec: TransactionSpec) -> bool:
         keys = spec.all_keys()
         if any(key in self._locked_keys for key in keys):

@@ -19,14 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, List, Optional
 
-from repro.bench.cluster import (CarouselCluster, DeploymentSpec,
-                                 LayeredCluster, TapirCluster)
-from repro.core.config import BASIC, FAST, CarouselConfig
+from repro.bench.cluster import DeploymentSpec
+from repro.systems import build, canonical
 from repro.trace.tracer import Tracer, TxnTrace
 from repro.txn import TransactionSpec
-
-#: CLI systems → cluster/config recipe names.
-SYSTEMS = ("basic", "fast", "tapir", "layered")
 
 
 @dataclass
@@ -48,8 +44,8 @@ def _has_replica_in(cluster, pid: str, dc: str) -> bool:
     return dc in cluster.directory.lookup(pid).datacenters
 
 
-def _pick_keys(cluster, client_dc: str,
-               remote_local_replica: Optional[bool] = None) -> tuple:
+def pick_keys(cluster, client_dc: str,
+              remote_local_replica: Optional[bool] = None) -> tuple:
     """Two keys on distinct partitions for the Figure 2 scenario: one on
     a partition led from ``client_dc``, one led remotely.
 
@@ -75,13 +71,14 @@ def _pick_keys(cluster, client_dc: str,
     raise RuntimeError("could not find suitable trace keys")
 
 
-def _pick_remote_keys(cluster, client_dc: str, want_local_replica: bool,
-                      remote_leader: bool = False, n: int = 2) -> tuple:
+def _pick_partition_keys(cluster, client_dc: str, n: int = 2,
+                         want_local_replica: Optional[bool] = None,
+                         remote_leader: bool = False) -> tuple:
     """``n`` keys on distinct partitions, each satisfying the local-replica
-    predicate (TAPIR scenarios) and, with ``remote_leader``, led from
-    another datacenter (the clean CPC fast-path scenario: votes from a
-    local replica plus remote replicas always beat the remote leader's
-    Raft slow path)."""
+    predicate when given (TAPIR scenarios) and, with ``remote_leader``,
+    led from another datacenter (the clean CPC fast-path scenario: votes
+    from a local replica plus remote replicas always beat the remote
+    leader's Raft slow path)."""
     found: List[str] = []
     pids: List[str] = []
     for i in range(5000):
@@ -89,7 +86,9 @@ def _pick_remote_keys(cluster, client_dc: str, want_local_replica: bool,
         pid = cluster.ring.partition_for(key)
         if pid in pids:
             continue
-        if _has_replica_in(cluster, pid, client_dc) != want_local_replica:
+        if want_local_replica is not None and \
+                _has_replica_in(cluster, pid, client_dc) != \
+                want_local_replica:
             continue
         if remote_leader and _leader_dc(cluster, pid) == client_dc:
             continue
@@ -98,20 +97,6 @@ def _pick_remote_keys(cluster, client_dc: str, want_local_replica: bool,
         if len(found) == n:
             return tuple(found)
     raise RuntimeError("could not find suitable trace keys")
-
-
-def _build_cluster(system: str, seed: int):
-    spec = DeploymentSpec(seed=seed, jitter_fraction=0.0)
-    if system == "basic":
-        return CarouselCluster(spec, CarouselConfig(mode=BASIC))
-    if system == "fast":
-        return CarouselCluster(spec, CarouselConfig(mode=FAST))
-    if system == "tapir":
-        return TapirCluster(spec)
-    if system == "layered":
-        return LayeredCluster(spec)
-    raise ValueError(f"unknown system {system!r}; "
-                     f"choose from {', '.join(SYSTEMS)}")
 
 
 def _force_tapir_mismatch(cluster, keys: tuple, client_dc: str) -> None:
@@ -131,9 +116,12 @@ def _force_tapir_mismatch(cluster, keys: tuple, client_dc: str) -> None:
 
 def run_traced(system: str, *, seed: int = 42, client_dc: str = "us-west",
                n_txns: int = 1, read_only: bool = False,
-               force_slow_path: bool = False,
+               force_slow_path: bool = False, wide: bool = False,
                digest_sink=None) -> TraceRun:
-    """Run ``n_txns`` traced two-partition transactions on ``system``.
+    """Run ``n_txns`` traced two-partition transactions on ``system`` —
+    or, with ``wide``, transactions touching every partition (the widest
+    fan-out, so ordering bugs in coordinator loops have the most room to
+    show).
 
     Returns a :class:`TraceRun` whose ``txn_traces`` hold one completed
     :class:`~repro.trace.tracer.TxnTrace` per transaction.
@@ -143,26 +131,30 @@ def run_traced(system: str, *, seed: int = 42, client_dc: str = "us-west",
     digest covers bootstrap as well — the divergence bisector compares
     whole runs, noise included.
     """
-    cluster = _build_cluster(system, seed)
+    system = canonical(system)
+    cluster = build(system, DeploymentSpec(seed=seed, jitter_fraction=0.0))
     if digest_sink is not None:
         cluster.kernel.digest = digest_sink
     cluster.run(500)  # settle elections/bootstrap before tracing
 
-    if system == "tapir":
+    if wide:
+        keys = _pick_partition_keys(cluster, client_dc,
+                                    n=len(cluster.partition_ids))
+    elif system == "tapir":
         # Fast path needs every replica to agree → partitions with a
         # client-local replica keep reads local AND consistent.  The slow
         # path instead uses remote partitions plus a version perturbation.
-        keys = _pick_remote_keys(cluster, client_dc,
-                                 want_local_replica=not force_slow_path)
-    elif system == "fast" and not read_only:
+        keys = _pick_partition_keys(
+            cluster, client_dc, want_local_replica=not force_slow_path)
+    elif system == "carousel-fast" and not read_only:
         # Remote-led partitions with a client-local replica: reads stay
         # local (§4.4.1) and each partition's fast quorum completes in one
         # WAN round trip, ahead of its leader's Raft slow path (§4.2).
-        keys = _pick_remote_keys(cluster, client_dc,
-                                 want_local_replica=True,
-                                 remote_leader=True)
+        keys = _pick_partition_keys(cluster, client_dc,
+                                    want_local_replica=True,
+                                    remote_leader=True)
     else:
-        keys = _pick_keys(cluster, client_dc)
+        keys = pick_keys(cluster, client_dc)
 
     cluster.populate({k: "v0" for k in keys})
     tracer = Tracer(cluster.kernel)

@@ -9,12 +9,12 @@ harness's whole acceptance story, in miniature.
 import pytest
 
 from repro.chaos import (
-    SYSTEMS,
     ChaosOptions,
     minimize_schedule,
     planted_writeback_bug,
     run_chaos,
 )
+from repro.systems import SYSTEMS
 
 #: Trimmed-down options so each integration run stays fast while still
 #: crossing the full fault window and quiescence machinery.

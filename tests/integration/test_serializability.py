@@ -52,10 +52,7 @@ def run_contended(cluster, keys, rounds, submit_gap_ms=40.0):
 
 def final_value(cluster, key):
     pid = cluster.ring.partition_for(key)
-    if hasattr(cluster, "servers"):
-        leader = cluster.directory.lookup(pid).leader
-        return cluster.servers[leader].partitions[pid].store.read(key).value
-    return cluster.replicas_of(pid)[0].store.read(key).value
+    return cluster.store_of(cluster.leader_of(pid), pid).read(key).value
 
 
 @pytest.mark.parametrize("mode", [BASIC, FAST])

@@ -4,12 +4,12 @@ import pytest
 
 from repro.bench import experiments
 from repro.bench.runner import (
-    SYSTEMS,
     build_cluster,
     build_workload,
 )
 from repro.bench.cluster import DeploymentSpec
 from repro.sim.topology import uniform_topology
+from repro.systems import FIGURE_SYSTEMS as SYSTEMS
 
 
 class TestScales:
